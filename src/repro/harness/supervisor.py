@@ -7,10 +7,13 @@ One :class:`Supervisor` drives one *run directory*::
       artifacts/<job>.json atomically-written job results
       artifacts/<job>.error last traceback of a failed attempt
 
-Jobs run in spawn-context :mod:`multiprocessing` workers (a hung or
-crashing experiment is killed on its deadline without taking down the
-supervisor) or, with ``isolate=False``, inline in this process — zero
-process overhead for cheap jobs, at the price of timeout enforcement.
+Jobs run in warm spawn-context workers (:mod:`repro.harness.pool`, up
+to ``parallel`` of them for one :meth:`Supervisor.run`): each imports
+once and then runs job after job, a hung or crashing experiment is
+killed on its deadline without taking down the supervisor, and the
+worker it ran in is replaced.  With ``isolate=False`` jobs run inline
+in this process — no worker at all, at the price of timeout
+enforcement.
 
 Every state transition is journaled *before* the supervisor acts on it,
 and artifacts are written atomically by the worker, so a crash at any
@@ -22,7 +25,6 @@ only the rest re-run.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import sys
@@ -40,10 +42,11 @@ from repro.harness.job import (
     validate_dag,
 )
 from repro.harness.journal import JOURNAL_NAME, Journal, read_journal
+from repro.harness.pool import Worker, WorkerDied, WorkerPool
 from repro.harness.worker import (
+    DONE,
     read_artifact,
     run_job_inline,
-    worker_main,
     write_artifact,
 )
 from repro.ioutil import sha256_file
@@ -150,11 +153,11 @@ class HarnessResult:
 
 
 class _Running:
-    """Bookkeeping for one in-flight worker process."""
+    """Bookkeeping for one job in flight on a pool worker."""
 
-    def __init__(self, proc: multiprocessing.process.BaseProcess,
-                 started: float, deadline: float | None) -> None:
-        self.proc = proc
+    def __init__(self, worker: Worker, started: float,
+                 deadline: float | None) -> None:
+        self.worker = worker
         self.started = started
         self.deadline = deadline
 
@@ -186,7 +189,7 @@ class Supervisor:
         self.cache = cache
         self.prefetch = prefetch
         self._prefetched: dict[str, Any] = {}
-        self._ctx = multiprocessing.get_context("spawn")
+        self._pool: WorkerPool | None = None
         # Trace root for this run: the telemetry's context when enabled,
         # else the ambient (env-propagated or fixed) one.  Per-job child
         # contexts derive from it by name alone, so serial and parallel
@@ -243,7 +246,14 @@ class Supervisor:
                 self._resume_pass(prior, outcomes, report, journal, started)
                 self._cache_pass(outcomes, report, journal, started)
                 self._prefetch_pass(outcomes)
-                self._schedule(outcomes, report, journal, started)
+                if self.isolate:
+                    self._pool = WorkerPool(self.parallel, name="harness")
+                try:
+                    self._schedule(outcomes, report, journal, started)
+                finally:
+                    if self._pool is not None:
+                        self._pool.close()  # kills interrupted jobs
+                        self._pool = None
                 report.elapsed_s = time.perf_counter() - started
                 if self._stop_signal is not None:
                     report.interrupted = True
@@ -401,8 +411,8 @@ class Supervisor:
         flows through the ordinary inline attempt — ``job_start`` /
         ``job_success`` journaling, artifact write, cache put, progress —
         so the batch computation is invisible to the run directory.
-        Isolated runs never prefetch: the caller asked for per-job
-        subprocess boundaries (crash containment, timeouts, signals).
+        Isolated runs never prefetch: the caller asked for jobs to run
+        in worker processes (crash containment, timeouts, signals).
         """
         if self.prefetch is None or self.isolate:
             return
@@ -449,9 +459,7 @@ class Supervisor:
                     )
 
         if self._stop_signal is not None:
-            for name, slot in running.items():
-                slot.proc.kill()
-                slot.proc.join()
+            for name in running:
                 outcomes[name].error = f"interrupted by signal {self._stop_signal}"
 
     def _skip_broken_dependents(self, outcomes: dict[str, JobOutcome],
@@ -497,7 +505,7 @@ class Supervisor:
                            attempt=attempts[spec.name])
             self._clear_error_file(spec.name)
             if self.isolate:
-                self._spawn(spec, running)
+                self._dispatch(spec, running)
             else:
                 self._run_inline(spec, outcomes, attempts, ready_at,
                                  journal, report, run_started)
@@ -508,32 +516,15 @@ class Supervisor:
         except OSError:
             pass
 
-    def _spawn(self, spec: JobSpec, running: dict[str, _Running]) -> None:
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(spec.name, spec.target, spec.kwargs,
-                  self.artifact_path(spec.name), self.error_path(spec.name),
-                  self.job_context(spec).to_traceparent()),
-            name=f"harness-{spec.name}",
-        )
-        # When the parent was launched as ``python -m repro.experiments.
-        # suite``, the spawn bootstrap re-runs that module as the child's
-        # main and runpy warns that it is already imported (the package
-        # __init__ imports it).  Benign, but one line of stderr per
-        # worker; silence exactly that warning in the child.
-        prev = os.environ.get("PYTHONWARNINGS")
-        squelch = "ignore::RuntimeWarning:runpy"
-        os.environ["PYTHONWARNINGS"] = f"{prev},{squelch}" if prev else squelch
-        try:
-            proc.start()
-        finally:
-            if prev is None:
-                del os.environ["PYTHONWARNINGS"]
-            else:
-                os.environ["PYTHONWARNINGS"] = prev
+    def _dispatch(self, spec: JobSpec, running: dict[str, _Running]) -> None:
+        assert self._pool is not None
+        worker = self._pool.acquire()
+        worker.send((spec.name, spec.target, spec.kwargs,
+                     self.artifact_path(spec.name), self.error_path(spec.name),
+                     self.job_context(spec).to_traceparent()))
         now = time.monotonic()
         deadline = None if spec.timeout_s is None else now + spec.timeout_s
-        running[spec.name] = _Running(proc, now, deadline)
+        running[spec.name] = _Running(worker, now, deadline)
 
     def _run_inline(self, spec: JobSpec, outcomes: dict[str, JobOutcome],
                     attempts: dict[str, int], ready_at: dict[str, float],
@@ -565,15 +556,26 @@ class Supervisor:
                       attempts: dict[str, int], ready_at: dict[str, float],
                       running: dict[str, _Running], journal: Journal,
                       report: HarnessReport, run_started: float) -> None:
+        assert self._pool is not None
         now = time.monotonic()
         for name in list(running):
             slot = running[name]
             spec = self.by_name[name]
-            if slot.proc.exitcode is None:
+            try:
+                verdict = slot.worker.poll()
+            except WorkerDied as exc:
+                del running[name]
+                self._pool.recycle(slot.worker, "crash")
+                self._attempt_failed(
+                    spec, self._read_error_file(name) or str(exc), outcomes,
+                    attempts, ready_at, journal, report, run_started,
+                    elapsed=time.monotonic() - slot.started,
+                )
+                continue
+            if verdict is None:
                 if slot.deadline is not None and now > slot.deadline:
-                    slot.proc.kill()
-                    slot.proc.join()
                     del running[name]
+                    self._pool.recycle(slot.worker, "timeout")
                     report.timeouts += 1
                     self._attempt_failed(
                         spec,
@@ -582,31 +584,28 @@ class Supervisor:
                         run_started, elapsed=now - slot.started,
                     )
                 continue
-            slot.proc.join()
-            exitcode = slot.proc.exitcode
             del running[name]
             elapsed = time.monotonic() - slot.started
-            if exitcode == 0:
-                try:
-                    payload = read_artifact(self.artifact_path(name))
-                except (OSError, SerializationError) as exc:
-                    self._attempt_failed(spec, f"unreadable artifact: {exc}",
-                                         outcomes, attempts, ready_at,
-                                         journal, report, run_started,
-                                         elapsed=elapsed)
-                    continue
-                self._attempt_succeeded(spec, payload, outcomes, attempts,
-                                        journal, report, run_started,
-                                        elapsed=elapsed)
-            else:
-                error = self._read_error_file(name)
-                if error is None:
-                    error = (f"killed by signal {-exitcode}"
-                             if exitcode is not None and exitcode < 0
-                             else f"worker exited with code {exitcode}")
+            if verdict != DONE:
+                self._pool.recycle(slot.worker, "job_error")
+                error = (self._read_error_file(name)
+                         or f"worker reported {verdict!r}")
                 self._attempt_failed(spec, error, outcomes, attempts,
                                      ready_at, journal, report, run_started,
                                      elapsed=elapsed)
+                continue
+            self._pool.release(slot.worker)
+            try:
+                payload = read_artifact(self.artifact_path(name))
+            except (OSError, SerializationError) as exc:
+                self._attempt_failed(spec, f"unreadable artifact: {exc}",
+                                     outcomes, attempts, ready_at,
+                                     journal, report, run_started,
+                                     elapsed=elapsed)
+                continue
+            self._attempt_succeeded(spec, payload, outcomes, attempts,
+                                    journal, report, run_started,
+                                    elapsed=elapsed)
 
     def _read_error_file(self, name: str) -> str | None:
         try:

@@ -1,26 +1,30 @@
-"""Job execution: the spawned worker's entry point and the inline path.
+"""Job execution: the warm worker's job runner and the inline path.
 
 The supervisor never pickles closures across the process boundary; a job
 is a dotted ``module:function`` target plus JSON kwargs, resolved here.
-Success is communicated through the filesystem: the worker atomically
-writes the artifact JSON and exits 0.  Failure writes the traceback to a
-sidecar ``<artifact>.error`` file and exits 1 — the supervisor reads it
-back for the journal, so a crashing job never scrambles the parent.
+Results travel through the filesystem, not the pipe: :func:`run_job`
+atomically writes the artifact JSON, or on failure writes the traceback
+to a sidecar ``<artifact>.error`` file, and only then returns the
+one-word verdict (:data:`DONE` or :data:`ERROR`) that a
+:mod:`repro.harness.pool` worker sends back to its parent.  The parent
+reads the artifact or the traceback back from disk for the journal, so
+a crashing job never scrambles the parent, and artifact bytes (and
+their journaled SHA-256) are the same whichever process wrote them.
 
 Trace propagation: the supervisor derives a deterministic child
 :class:`~repro.telemetry.tracecontext.TraceContext` per job and ships
-its ``traceparent`` string through the worker argument list.  It is
-installed in :data:`~repro.telemetry.tracecontext.TRACEPARENT_ENV`
-around the job target — in the *worker* for spawned jobs, briefly in
-the supervisor's process for inline ones — so any ``Telemetry()`` the
+its ``traceparent`` string with the job.  It is installed in
+:data:`~repro.telemetry.tracecontext.TRACEPARENT_ENV` around the job
+target only — in the *worker* for isolated jobs, briefly in the
+supervisor's process for inline ones — so any ``Telemetry()`` the
 target constructs roots its spans under the harness job's span and the
-merged streams stitch into one tree.
+merged streams stitch into one tree, and a warm worker carries no trace
+state from one job into the next.
 """
 
 from __future__ import annotations
 
 import importlib
-import sys
 import traceback
 from typing import Any, Callable
 
@@ -29,6 +33,11 @@ from repro.ioutil import atomic_write_json, atomic_write_text
 from repro.telemetry.tracecontext import TraceContext, propagation_env
 
 ARTIFACT_SCHEMA = 1
+
+#: Verdicts :func:`run_job` returns: the artifact, or the ``.error``
+#: sidecar, is already on disk when either is sent.
+DONE = "done"
+ERROR = "error"
 
 
 def resolve_target(target: str) -> Callable[..., Any]:
@@ -84,15 +93,19 @@ def run_job_inline(name: str, target: str, kwargs: dict[str, Any],
     return payload
 
 
-def worker_main(name: str, target: str, kwargs: dict[str, Any],
-                artifact_path: str, error_path: str,
-                traceparent: str | None = None) -> None:
-    """Spawned-process entry point (must stay a picklable top-level fn)."""
+def run_job(name: str, target: str, kwargs: dict[str, Any],
+            artifact_path: str, error_path: str,
+            traceparent: str | None = None) -> str:
+    """Run one job in a pool worker; returns :data:`DONE` or :data:`ERROR`.
+
+    Never raises: a job that raises (``SystemExit`` and
+    ``KeyboardInterrupt`` included) leaves its traceback in
+    ``error_path`` and yields :data:`ERROR`, after which the parent
+    recycles this worker rather than trust its state.
+    """
     try:
         run_job_inline(name, target, kwargs, artifact_path, traceparent)
     except BaseException:
-        try:
-            atomic_write_text(error_path, traceback.format_exc())
-        finally:
-            sys.exit(1)
-    sys.exit(0)
+        atomic_write_text(error_path, traceback.format_exc())
+        return ERROR
+    return DONE

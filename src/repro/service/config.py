@@ -58,7 +58,10 @@ class ServiceConfig:
     drain_timeout_s: float = 30.0     # SIGTERM: finish in-flight work
     slow_client_timeout_s: float = 5.0   # per-read header/body deadline
     keepalive_timeout_s: float = 10.0    # idle persistent connections
-    isolate: bool = True              # spawn-isolated workers (False: threads)
+    # True: jobs run on warm spawn-context worker processes, one per
+    # ``workers`` slot, each replaced after a crash, timeout, deadline
+    # kill or raised job; False: executor threads, no kill capability.
+    isolate: bool = True
 
     # -- observability ---------------------------------------------------
     # When set, served jobs export per-worker telemetry under this

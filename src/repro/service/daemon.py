@@ -3,8 +3,20 @@
 :class:`SimulationService` owns the whole serving pipeline::
 
     HTTP -> admission (breaker, cache, token bucket, bounded queues)
-         -> weighted-fair dequeue -> spawn-isolated execution
+         -> weighted-fair dequeue -> warm isolated worker (or a thread)
          -> journal + content-addressed cache -> status/result endpoints
+
+With ``isolate=True`` (the default) jobs run on a
+:class:`~repro.harness.pool.WorkerPool` of ``config.workers``
+spawn-context processes, started by :meth:`SimulationService.start`
+without holding up readiness.  Each imports the simulator once and then
+runs job after job, so a cold miss costs its simulation, not an
+interpreter start.  A worker writes the artifact JSON (or the ``.error``
+traceback) to disk and then sends only "done" or "error" back over its
+pipe; the daemon reads the result from disk, so the journal, the
+artifact SHA-256 and resume are the same as for a per-job process.  A
+worker is killed and replaced after a crash, a job timeout, a deadline
+kill or a job that raised; shutdown kills them all.
 
 Robustness properties, and where they live:
 
@@ -19,8 +31,8 @@ Robustness properties, and where they live:
   ``Retry-After`` derived from queue depth and the observed service
   rate; the HTTP layer turns them into 429s.
 - **Deadlines end-to-end.**  A reaper expires queued jobs; the worker
-  loop kills in-flight processes at their deadline; both paths journal
-  ``job_expired``.
+  loop kills (and replaces) the worker of an in-flight job at its
+  deadline; both paths journal ``job_expired``.
 - **Degradation ladder.**  Consecutive worker failures walk the
   :class:`~repro.service.breaker.CircuitBreaker` through
   cache-only -> hard-reject; recovery is canary-probed.
@@ -35,18 +47,22 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+import traceback
 from typing import Any
 
 from repro.errors import ServiceError
 from repro.faults.retry import RetryPolicy
 from repro.harness.journal import JOURNAL_NAME, Journal, read_journal
-from repro.harness.worker import read_artifact, run_job_inline, worker_main
+from repro.harness.pool import WorkerDied, WorkerPool
+from repro.harness.worker import DONE, read_artifact, run_job_inline
 from repro.ioutil import sha256_file
 from repro.service.admission import AdmissionRefused, FairTenantQueues
 from repro.service.breaker import BreakerState, CircuitBreaker
 from repro.service.config import ServiceConfig
+from repro.service.jobs import PRELOAD
 from repro.service.models import (
     JOB_TARGET,
+    TERMINAL_PHASES,
     JobPhase,
     JobRecord,
     JobRequest,
@@ -108,11 +124,17 @@ class SimulationService:
         self._journal: Journal | None = None
         self._tasks: list[asyncio.Task] = []
         self._stopped = asyncio.Event()
-        #: In-flight worker processes by job id (chaos tests reach in).
+        #: Set when a job is queued: an idle worker loop starts it at
+        #: once instead of at its next poll (with warm workers, a poll
+        #: interval is a large share of a cold miss).
+        self._queued = asyncio.Event()
+        #: Live worker process running each in-flight job, by job id
+        #: (chaos tests reach in).
         self.running_procs: dict[str, Any] = {}
-        import multiprocessing
-
-        self._ctx = multiprocessing.get_context("spawn")
+        #: Jobs between dequeue and terminal phase, on either execution
+        #: mode (an inline job has no process in ``running_procs``).
+        self._running_jobs = 0
+        self._pool: WorkerPool | None = None
 
     # -- metrics shorthand ---------------------------------------------
 
@@ -122,7 +144,7 @@ class SimulationService:
     def _set_gauges(self) -> None:
         tel = self.telemetry
         tel.gauge("service_queue_depth").set(float(self.queues.depth()))
-        tel.gauge("service_running_jobs").set(float(len(self.running_procs)))
+        tel.gauge("service_running_jobs").set(float(self._running_jobs))
         tel.gauge("service_breaker_level").set(
             float(_BREAKER_LEVEL[self.breaker.state])
         )
@@ -168,6 +190,14 @@ class SimulationService:
                              resume=bool(prior))
         if prior:
             self._recover(prior)
+        if self.config.isolate:
+            self._pool = WorkerPool(
+                self.config.workers, name="service",
+                preload=(JOB_TARGET.partition(":")[0], *PRELOAD),
+                on_spawn=lambda reason: self._count(
+                    "service_worker_spawns_total", reason=reason),
+            )
+            self._pool.fill()
         for index in range(self.config.workers):
             self._tasks.append(
                 asyncio.create_task(self._worker_loop(index),
@@ -267,22 +297,19 @@ class SimulationService:
         while outstanding() and time.monotonic() < deadline \
                 and self.breaker.state is BreakerState.CLOSED:
             await asyncio.sleep(_POLL_S)
+        # Whatever survived the drain window stays journaled as
+        # submitted-without-terminal-event: the resume contract.  The
+        # pool closes before the tasks are cancelled, with no await in
+        # between, so no task sees its killed worker as a failure.
+        if self._pool is not None:
+            self._pool.close()
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
-        # Whatever survived the drain window stays journaled as
-        # submitted-without-terminal-event: the resume contract.
-        for job_id, proc in list(self.running_procs.items()):
-            try:
-                proc.kill()
-                proc.join()
-            except Exception:
-                pass
-            record = self.records.get(job_id)
-            if record is not None and record.phase is JobPhase.RUNNING:
+        for record in self.records.values():
+            if record.phase is JobPhase.RUNNING:
                 record.phase = JobPhase.QUEUED  # will re-run on resume
-        self.running_procs.clear()
         abandoned = self.queues.drain_all()
         if self._journal is not None:
             self._journal.record(
@@ -363,6 +390,7 @@ class SimulationService:
         except AdmissionRefused as exc:
             self._count("service_shed_total", reason=exc.reason)
             raise
+        self._queued.set()
         record = JobRecord(job_id=job_id, request=request)
         # Child of the open http_request span: the job's trace position.
         record.trace = self.telemetry.child_context("job", job_id)
@@ -438,7 +466,7 @@ class SimulationService:
             "breaker": self.breaker.state.value,
             "breaker_consecutive_failures": self.breaker.consecutive_failures,
             "queue_depth": self.queues.depth(),
-            "running": len(self.running_procs),
+            "running": self._running_jobs,
             "jobs_tracked": len(self.records),
             "workers": self.config.workers,
         }
@@ -453,7 +481,8 @@ class SimulationService:
     async def _worker_loop(self, index: int) -> None:
         while True:
             if self.queues.depth() == 0:
-                await asyncio.sleep(_POLL_S)
+                self._queued.clear()
+                await self._queued.wait()
                 continue
             if not self.breaker.allow_execution():
                 await asyncio.sleep(_POLL_S)
@@ -473,10 +502,19 @@ class SimulationService:
             record.phase = JobPhase.RUNNING
             if record.started_unix is None:
                 record.started_unix = time.time()
+            self._running_jobs += 1
             self._set_gauges()
             try:
                 await self._execute(record)
+            except Exception:  # noqa: BLE001 — keep this loop serving
+                # A daemon-side fault (say the cache put in
+                # _finish_success raising) must not end the task: the job
+                # would stay running forever and the pool run one short.
+                self.breaker.release_probe()
+                if record.phase not in TERMINAL_PHASES:
+                    self._finish_failed(record, traceback.format_exc())
             finally:
+                self._running_jobs -= 1
                 self._set_gauges()
 
     async def _execute(self, record: JobRecord) -> None:
@@ -533,57 +571,57 @@ class SimulationService:
         ``{"success", "expired", "worker_failure", "job_error"}``."""
         if not self.config.isolate:
             return await self._run_attempt_inline(record)
+        assert self._pool is not None
         artifact = self._artifact_path(record.job_id)
         error_path = artifact + ".error"
         try:
             os.unlink(error_path)
         except OSError:
             pass
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(record.job_id, JOB_TARGET, self._job_kwargs(record),
-                  artifact, error_path),
-            name=f"service-{record.job_id}",
-        )
-        proc.start()
-        self.running_procs[record.job_id] = proc
-        self._set_gauges()
-        timeout_at = time.monotonic() + self.config.job_timeout_s
+        worker = self._pool.acquire()
+        recycle: str | None = "cancelled"  # unless the attempt ends below
         try:
-            while proc.exitcode is None:
+            worker.send((record.job_id, JOB_TARGET, self._job_kwargs(record),
+                         artifact, error_path, None))
+            self.running_procs[record.job_id] = worker.proc
+            self._set_gauges()
+            timeout_at = time.monotonic() + self.config.job_timeout_s
+            while True:
+                try:
+                    verdict = worker.poll()
+                except WorkerDied as exc:
+                    recycle = "crash"
+                    return "worker_failure", str(exc)
+                if verdict is not None:
+                    break
                 now = time.monotonic()
                 if record.expired(now):
-                    proc.kill()
-                    proc.join()
+                    recycle = "deadline"
                     return "expired", None
                 if now >= timeout_at:
-                    proc.kill()
-                    proc.join()
+                    recycle = "timeout"
                     return ("worker_failure",
                             f"timeout: killed after {self.config.job_timeout_s:.1f}s")
                 await asyncio.sleep(_POLL_S)
-            proc.join()
-        except asyncio.CancelledError:
-            # Worker task cancelled (shutdown): never leak a live child.
-            proc.kill()
-            proc.join()
-            raise
-        finally:
-            self.running_procs.pop(record.job_id, None)
-        exitcode = proc.exitcode
-        if exitcode == 0:
+            if verdict != DONE:
+                recycle = "job_error"
+                return ("job_error", self._read_error_file(error_path)
+                        or f"worker reported {verdict!r}")
+            recycle = None
             try:
                 record.result = read_artifact(artifact)
             except Exception as exc:
                 return "worker_failure", f"unreadable artifact: {exc}"
             record.artifact_sha256 = sha256_file(artifact)
             return "success", None
-        error = self._read_error_file(error_path)
-        if error is not None:
-            return "job_error", error
-        if exitcode is not None and exitcode < 0:
-            return "worker_failure", f"killed by signal {-exitcode}"
-        return "worker_failure", f"worker exited with code {exitcode}"
+        finally:
+            # Task cancellation (shutdown) lands here with the pool
+            # already closed, so that recycle only kills.
+            self.running_procs.pop(record.job_id, None)
+            if recycle is None:
+                self._pool.release(worker)
+            else:
+                self._pool.recycle(worker, recycle)
 
     async def _run_attempt_inline(self, record: JobRecord) -> tuple[str, str | None]:
         """Threaded attempt for ``isolate=False`` (no kill capability)."""
@@ -657,8 +695,15 @@ class SimulationService:
                   else time.time())
 
     def _finish_success(self, record: JobRecord, elapsed: float) -> None:
+        finished_unix = time.time()
+        if self.cache is not None and record.request.cache_key is not None:
+            # read_artifact returned the payload; store it under the
+            # same envelope shape the harness uses.  Put first: if it
+            # raises, the job is journaled failed, never done-then-failed.
+            self.cache.put(record.request.cache_key,
+                           {"payload": record.result})
         record.phase = JobPhase.DONE
-        record.finished_unix = time.time()
+        record.finished_unix = finished_unix
         assert self._journal is not None
         self._journal.record(
             "job_success", job=record.job_id, attempt=record.attempts,
@@ -669,11 +714,6 @@ class SimulationService:
         )
         self.breaker.record_success()
         self.queues.observe_service_time(elapsed)
-        if self.cache is not None and record.request.cache_key is not None:
-            # read_artifact returned the payload; store it under the
-            # same envelope shape the harness uses.
-            self.cache.put(record.request.cache_key,
-                           {"payload": record.result})
         self._count("service_jobs_done_total", tenant=record.request.tenant)
         self.telemetry.histogram("service_job_wall_s").observe(elapsed)
         self._record_job_trace(record)

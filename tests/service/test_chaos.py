@@ -9,6 +9,10 @@ jobs byte-identically.
 
 These tests use spawn-isolated workers where process-level violence is
 the point, and threaded workers where only scheduling behavior matters.
+Where a job must be mid-flight when it is killed, timed out or expired,
+it runs the gated target (the ``gate`` fixture, ``conftest.py``): the
+race is decided by the test opening the gate, not by how long a worker
+takes to import or simulate.
 """
 
 import hashlib
@@ -45,7 +49,8 @@ def assert_no_lost_or_duplicated(records):
 
 
 class TestWorkerSigkill:
-    def test_sigkill_mid_job_retries_without_losing_the_result(self, tmp_path):
+    def test_sigkill_mid_job_retries_without_losing_the_result(self, tmp_path,
+                                                               gate):
         config = ServiceConfig(
             port=0, workers=1, isolate=True, job_timeout_s=120.0,
             retry_max_attempts=3, retry_base_backoff_s=0.01,
@@ -59,19 +64,12 @@ class TestWorkerSigkill:
                                             time_scale=0.02)
             assert status == 202
             job_id = body["job_id"]
-            # The spawn window (fresh interpreter importing repro) keeps
-            # the child visible in running_procs for well over a second:
-            # kill it there, squarely mid-job.
-            deadline = time.monotonic() + 30.0
-            pid = None
-            while time.monotonic() < deadline:
-                proc = svc.service.running_procs.get(job_id)
-                if proc is not None and proc.pid:
-                    pid = proc.pid
-                    break
-                time.sleep(0.005)
-            assert pid is not None, "job never reached a worker process"
+            # The job is blocked on the shut gate: kill its worker there,
+            # squarely mid-job, then let the retry through.
+            pid = gate.wait_started(1)[0]
+            assert svc.service.running_procs[job_id].pid == pid
             os.kill(pid, signal.SIGKILL)
+            gate.open()
 
             done = client.wait(job_id, timeout_s=120)
             assert done["phase"] == "done"
@@ -86,8 +84,9 @@ class TestWorkerSigkill:
 
 
 class TestBreakerLadder:
-    def test_cache_only_serves_hits_then_open_rejects_all(self, tmp_path):
-        # job_timeout far below spawn overhead: every execution is a
+    def test_cache_only_serves_hits_then_open_rejects_all(self, tmp_path,
+                                                          gate):
+        # The gate stays shut past job_timeout: every execution is a
         # deterministic worker-level failure (timeout kill).
         config = ServiceConfig(
             port=0, workers=1, isolate=True, job_timeout_s=0.05,
@@ -169,7 +168,8 @@ class TestBreakerLadder:
 
 
 class TestDeadlineStorm:
-    def test_queued_jobs_expire_without_poisoning_the_service(self, tmp_path):
+    def test_queued_jobs_expire_without_poisoning_the_service(self, tmp_path,
+                                                              gate):
         config = ServiceConfig(
             port=0, workers=1, isolate=False, job_timeout_s=60.0,
             rate_per_tenant=10_000.0, burst_per_tenant=10_000.0,
@@ -178,10 +178,11 @@ class TestDeadlineStorm:
         run_dir = str(tmp_path / "run")
         with ServiceThread(config, run_dir) as svc:
             client = svc.client()
-            # Pin the single worker with real work...
+            # Pin the single worker on a gated job...
             status, pinned, _ = client.submit(workload="hotspot",
                                               iterations=4, time_scale=0.05)
             assert status == 202
+            gate.wait_started(1)
             # ... then storm it with jobs that cannot possibly make it.
             storm = []
             for i in range(10):
@@ -194,6 +195,7 @@ class TestDeadlineStorm:
                       for job_id in storm]
             assert phases.count("expired") >= 8, phases
             # The pinned job and the service itself are unharmed.
+            gate.open()
             assert client.wait(pinned["job_id"], timeout_s=60)["phase"] == "done"
             status, body, _ = client.submit(workload="kmeans", iterations=2,
                                             time_scale=0.01)
@@ -205,7 +207,7 @@ class TestDeadlineStorm:
         assert len(expired) >= 8
         assert all(r["where"] in ("queued", "running") for r in expired)
 
-    def test_deadline_kills_in_flight_job(self, tmp_path):
+    def test_deadline_kills_in_flight_job(self, tmp_path, gate):
         config = ServiceConfig(
             port=0, workers=1, isolate=True, job_timeout_s=120.0,
             breaker_cache_only_after=10, breaker_hard_open_after=20,
@@ -213,8 +215,8 @@ class TestDeadlineStorm:
         run_dir = str(tmp_path / "run")
         with ServiceThread(config, run_dir) as svc:
             client = svc.client()
-            # Deadline shorter than the spawn window: the job will be
-            # mid-flight (process alive) when it expires.
+            # The gate stays shut: the job is mid-flight (its worker
+            # alive) when the deadline expires it.
             status, body, _ = client.submit(workload="hotspot", iterations=4,
                                             time_scale=0.05, deadline_s=0.4)
             assert status == 202
@@ -230,7 +232,7 @@ class TestDeadlineStorm:
 
 
 class TestDrainRestartResume:
-    def test_unfinished_jobs_resume_byte_identically(self, tmp_path):
+    def test_unfinished_jobs_resume_byte_identically(self, tmp_path, gate):
         config = ServiceConfig(
             port=0, workers=1, isolate=True, job_timeout_s=120.0,
             drain_timeout_s=0.1,  # abandon quickly: that's the point
@@ -248,7 +250,8 @@ class TestDrainRestartResume:
                                             time_scale=0.02)
             assert status == 202
             jobs.append(body["job_id"])
-        # Wait for the first success, then drain with work outstanding.
+        # Let exactly one job finish, then drain with work outstanding.
+        gate.open("once")
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
             records = journal_events(run_dir)
@@ -271,6 +274,7 @@ class TestDrainRestartResume:
 
         # Restart on the same run directory: journaled unfinished jobs
         # must resume and finish; finished ones must not re-run.
+        gate.open()
         svc2 = ServiceThread(config, run_dir, cache=cache).start()
         client2 = svc2.client()
         for job_id in jobs:

@@ -136,13 +136,14 @@ class TestBackpressure:
             assert int(headers["retry-after"]) >= 1
             client.close()
 
-    def test_queue_overflow_sheds_that_tenant_only(self, tmp_path):
+    def test_queue_overflow_sheds_that_tenant_only(self, tmp_path, gate):
         config = make_config(workers=1, tenant_queue_limit=2,
                              rate_per_tenant=10_000.0,
                              burst_per_tenant=10_000.0)
         with ServiceThread(config, str(tmp_path / "run")) as svc:
             client = svc.client()
-            # A slow-ish job pins the single worker...
+            # A gated job pins the single worker (however fast the engine,
+            # and however slowly this process's threads share the GIL)...
             client.submit(workload="hotspot", iterations=4, time_scale=0.05,
                           tenant="a")
             deadline = time.monotonic() + 10.0
@@ -166,6 +167,7 @@ class TestBackpressure:
             status, _, _ = client.submit(workload="kmeans", iterations=60,
                                          time_scale=0.01, tenant="b")
             assert status == 202
+            gate.open()
             client.close()
 
 
@@ -212,11 +214,13 @@ class TestSlowClients:
 
 
 class TestCancel:
-    def test_cancel_queued_job(self, tmp_path):
+    def test_cancel_queued_job(self, tmp_path, gate):
         config = make_config(workers=1, rate_per_tenant=10_000.0,
                              burst_per_tenant=10_000.0)
         with ServiceThread(config, str(tmp_path / "run")) as svc:
             client = svc.client()
+            # The gated first job holds the single worker, so the second
+            # is still queued when the cancel arrives.
             client.submit(workload="hotspot", iterations=4, time_scale=0.05)
             status, queued, _ = client.submit(workload="kmeans",
                                               iterations=50, time_scale=0.01)
@@ -226,6 +230,7 @@ class TestCancel:
             assert body["phase"] == "cancelled"
             status, body, _ = client.status(queued["job_id"])
             assert body["phase"] == "cancelled"
+            gate.open()
             client.close()
 
     def test_cancel_finished_job_is_409(self, client):
